@@ -94,11 +94,15 @@ class FaultInjector:
         """Cycles with fault events not yet applied, sorted."""
         return sorted(self._schedule)
 
-    def advance(self, cycle: int, state: "KernelState") -> None:
-        """Apply the events due this cycle and recover routing around them."""
+    def advance(self, cycle: int, state: "KernelState") -> bool:
+        """Apply the events due this cycle and recover routing around them.
+
+        Returns whether any event was due (the kernel then wakes every
+        parked switch, see :class:`repro.noc.kernel.ActiveSetScheduler`).
+        """
         events = self._schedule.pop(cycle, None)
         if not events:
-            return
+            return False
         topology_changed = False
         for event in events:
             topology_changed |= self._apply(event)
@@ -111,6 +115,7 @@ class FaultInjector:
             # their still-valid routes.
             self.router.clear_cache()
         state.anchor_watchdog(cycle)
+        return True
 
     def restore(self) -> None:
         """Undo every change to state shared across runs (graph, router)."""

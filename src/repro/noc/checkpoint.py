@@ -52,7 +52,10 @@ __all__ = [
 #: silent misresume.  v2: the vector state's owner/rev dicts became flat
 #: claim-index lists and the arrivals dict became a calendar-wheel of
 #: preallocated arrays (PR 10) — v1 vector checkpoints cannot resume.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: input ports carry the parked-switch ``waiters`` sets and the
+#: active-set scheduler its pass list (event-driven allocation); v2 graphs
+#: lack both, so they cannot resume.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

@@ -255,6 +255,11 @@ class WirelessFabric(Fabric, MacDataPlane):
             for wi_id in plan.wi_switch_ids:
                 self._mac_of[wi_id] = mac
                 members.append((wi_id, self.transceivers[wi_id]))
+                output = self._switches[wi_id].wireless_output
+                if output is not None:
+                    # Lets the allocator skip a WI's grant scan while
+                    # another WI holds the channel (see MacProtocol.grants).
+                    output.mac = mac
             self._mac_members.append((mac, members))
 
         #: Per-channel energy attribution (settled into

@@ -38,15 +38,18 @@ receive a :class:`~repro.noc.pool.PacketView`.
 
 The injection and allocation phases take their per-cycle work lists from a
 :class:`Scheduler`.  The :class:`DenseScheduler` visits every switch every
-cycle — a faithful transliteration of the original monolithic engine loop —
-while the :class:`ActiveSetScheduler` maintains *wake sets* of switches
-that can possibly make progress (buffered flits for allocation, queued or
-partially serialised packets for injection) and skips everything else.
-Skipped switches are exactly those for which the dense pass would be a
-no-op, so the two schedulers are bit-identical (the parity tests in
-``tests/test_kernel.py`` prove it); the active-set scheduler is simply
-several times faster at the low and mid loads that dominate every figure
-sweep.
+cycle — a faithful transliteration of the original monolithic engine loop,
+kept as the parity oracle — while the :class:`ActiveSetScheduler` is
+event-driven: it maintains *wake sets* of switches that can possibly make
+progress (buffered flits for allocation, queued or partially serialised
+packets for injection), *parks* switches whose requests are all blocked on
+downstream buffer space until a flit leaves the port they wait on, and
+skips everything else.  Skipped switches are exactly those for which the
+dense pass would be a no-op, so the two schedulers are bit-identical (the
+parity tests in ``tests/test_kernel.py`` prove it); the active-set
+scheduler is simply several times faster at the low and mid loads that
+dominate every figure sweep, and skips credit-blocked switches under
+congestion.
 
 A watchdog aborts the run if no flit makes progress for a configurable
 number of cycles while traffic is still in flight, so routing or protocol
@@ -61,10 +64,12 @@ anchor, so fast-cycling phases can never mask a genuine deadlock.
 from __future__ import annotations
 
 import pickle
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..energy import EnergyAccountant
 from ..routing.base import BaseRouter, RoutingError
@@ -77,6 +82,7 @@ from .checkpoint import (
 from .config import NetworkConfig
 from .network import Network
 from .pool import FLIT_INDEX_BITS, FLIT_INDEX_MASK, PacketPool, PacketView
+from .port import InputPort
 from .stats import SimulationResult
 from .switch import Switch
 from .virtual_channel import VirtualChannel
@@ -159,16 +165,20 @@ class SimulationConfig:
 # ----------------------------------------------------------------------
 
 
+_switch_id = attrgetter("switch_id")
+
+
 class Scheduler:
     """Decides which switches each phase visits in a given cycle.
 
     The kernel notifies the scheduler of every event that can wake a
     switch (a flit buffered into one of its VCs, a packet queued at one of
-    its endpoints) and of every opportunity to let one sleep again (a
-    visited switch that drained, an injector with nothing left to
-    serialise).  Candidate lists are always produced in ascending
-    switch-id order, matching the dense iteration order, so arbitration
-    outcomes are identical under both schedulers.
+    its endpoints, a flit popped from a port a parked switch waits on) and
+    of every opportunity to let one sleep again (a visited switch that
+    drained or parked, an injector with nothing left to serialise).
+    Candidates are always produced in ascending switch-id order, matching
+    the dense iteration order, so arbitration outcomes are identical under
+    both schedulers.
     """
 
     name = "scheduler"
@@ -197,8 +207,23 @@ class Scheduler:
     def on_packet_queued(self, switch: Switch) -> None:
         """A packet joined a source queue of one of ``switch``'s endpoints."""
 
-    def after_allocation(self, switch: Switch) -> None:
-        """The allocation phase finished visiting ``switch`` this cycle."""
+    def after_allocation(self, switch: Switch, blocked: Optional[List[InputPort]]) -> None:
+        """The allocation phase finished visiting ``switch`` this cycle.
+
+        ``blocked`` is ``None`` unless the visit qualifies for parking (see
+        :class:`ActiveSetScheduler`); then it lists the downstream input
+        ports whose buffer space the switch is waiting for.
+        """
+
+    def wake_waiters(self, waiters: Set[int], visiting: int) -> None:
+        """A flit left a port that the switches in ``waiters`` are parked on.
+
+        Called by the kernel while it visits switch ``visiting`` in the
+        allocation pass; the set is cleared.
+        """
+
+    def wake_all(self) -> None:
+        """Return every parked switch to the allocation set (fault cycles)."""
 
     def after_injection(self, switch: Switch, has_work: bool) -> None:
         """The injection phase finished visiting ``switch`` this cycle."""
@@ -208,13 +233,20 @@ class Scheduler:
 
         Schedulers that skip idle switches must re-examine it: a head flit
         that was blocked on a failed component may have been rerouted onto a
-        sendable output, so the switch needs a fresh visit even though no
-        buffer or queue event fired.
+        sendable output, or a purge may have cancelled a packet it was
+        serialising, so the switch needs a fresh visit even though no
+        buffer or queue event fired.  (The allocation side is covered by
+        :meth:`wake_all`, which the fault phase calls after every cycle
+        with due events.)
         """
 
 
 class DenseScheduler(Scheduler):
-    """Visit every switch every cycle (the original engine's behaviour)."""
+    """Visit every switch every cycle (the original engine's behaviour).
+
+    Kept as the parity oracle of :class:`ActiveSetScheduler`: it never
+    parks a switch, so no port ever holds a waiter under it.
+    """
 
     name = "dense"
 
@@ -232,12 +264,41 @@ class DenseScheduler(Scheduler):
 class ActiveSetScheduler(Scheduler):
     """Visit only switches that can possibly make progress.
 
-    A switch is *allocation-active* while any of its VC buffers holds a
-    flit, and *injection-active* while any attached endpoint has queued
-    packets or a local VC is mid-serialisation.  Both conditions are
-    exactly the preconditions under which the dense pass can mutate state,
-    so skipping inactive switches never changes a simulation outcome —
-    only the wall-clock cost of reaching it.
+    A switch is *injection-active* while any attached endpoint has queued
+    packets or a local VC is mid-serialisation.  It is *allocation-active*
+    while any of its VC buffers holds a flit, unless it is **parked**:
+
+    * **Park.** A visit that moves no flit, has no ejection request, and
+      finds every requesting output non-busy on an ``always_grants``
+      fabric is blocked only on downstream buffer space (a full target VC,
+      or no free VC for a head flit).  The switch leaves the allocation
+      set and registers on each downstream input port it is blocked on
+      (:attr:`~repro.noc.port.InputPort.waiters`).
+    * **Wake.** Downstream space only ever grows when a flit leaves one of
+      that port's VCs — a send, an eject, or the tail release that rides
+      on either — so every such pop wakes the port's waiters.  A flit
+      buffered into one of the switch's own VCs (a new request) wakes it
+      too, and so does any cycle with due fault events (recovery can purge
+      buffers, reroute heads and flip a fabric's ``always_grants``).
+    * **Gate.** The kernel's allocator skips a wireless output's per-VC
+      grant scan while its MAC's ``current_transmitter()`` is another WI
+      (see :meth:`~repro.wireless.mac.MacProtocol.grants`).
+
+    Every condition a parked visit reads — the switch's own front flits,
+    output busy state, the fabric flag, downstream occupancy and
+    ownership — stays fixed until one of the wake events fires, so each
+    skipped visit is one the dense pass would have found blocked too.
+
+    **Same-cycle order.** Dense visits switches in ascending id, so a pop
+    at switch *d* frees space that an upstream switch *u > d* sees in the
+    *same* cycle, and that *u < d* (already visited) sees in the next.
+    The pass list is sorted by id and iterated in place: a woken switch
+    with an id above the one being visited is inserted into the current
+    pass; one below rejoins the allocation set for the next cycle.  Both
+    schedulers thus visit every switch that can move a flit at the same
+    point of the same cycle, and results are bit-identical — skipping
+    parked and idle switches only changes the wall-clock cost of reaching
+    them.
     """
 
     name = "active"
@@ -246,10 +307,15 @@ class ActiveSetScheduler(Scheduler):
         self._switch_of = {s.switch_id: s for s in switches}
         self._alloc_active: set = set()
         self._inject_active: set = set()
+        #: The candidate list of the latest allocation pass.  The phase
+        #: iterates it by index, so a switch inserted behind the current
+        #: position is visited in the same pass.
+        self._pass: List[Switch] = []
 
     def allocation_candidates(self) -> Iterable[Switch]:
         switch_of = self._switch_of
-        return [switch_of[sid] for sid in sorted(self._alloc_active)]
+        self._pass = [switch_of[sid] for sid in sorted(self._alloc_active)]
+        return self._pass
 
     def injection_candidates(self) -> Iterable[Switch]:
         switch_of = self._switch_of
@@ -261,19 +327,40 @@ class ActiveSetScheduler(Scheduler):
     def on_packet_queued(self, switch: Switch) -> None:
         self._inject_active.add(switch.switch_id)
 
-    def after_allocation(self, switch: Switch) -> None:
+    def after_allocation(self, switch: Switch, blocked: Optional[List[InputPort]]) -> None:
+        if blocked is not None:
+            sid = switch.switch_id
+            self._alloc_active.discard(sid)
+            for port in blocked:
+                port.waiters.add(sid)
         # The switch's occupied-VC set is authoritative: empty means the
         # dense pass would find nothing here either, so the switch sleeps.
-        if not switch.occupied:
+        elif not switch.occupied:
             self._alloc_active.discard(switch.switch_id)
+
+    def wake_waiters(self, waiters: Set[int], visiting: int) -> None:
+        # Registrations are cleared lazily: a switch woken through another
+        # port may still sit in this set, and waking an active switch (or
+        # a drained one, whose visit is a no-op) changes nothing.
+        active = self._alloc_active
+        for sid in waiters:
+            if sid not in active:
+                active.add(sid)
+                if sid > visiting:
+                    # Ids above the visited one lie ahead in the sorted
+                    # pass, so the insertion lands after the iterator.
+                    insort(self._pass, self._switch_of[sid], key=_switch_id)
+        waiters.clear()
+
+    def wake_all(self) -> None:
+        self._alloc_active.update(sid for sid, s in self._switch_of.items() if s.occupied)
 
     def after_injection(self, switch: Switch, has_work: bool) -> None:
         if not has_work:
             self._inject_active.discard(switch.switch_id)
 
     def on_fault(self, switch: Switch) -> None:
-        if switch.occupied:
-            self._alloc_active.add(switch.switch_id)
+        # Allocation needs nothing here: the fault phase calls wake_all.
         # Let the next injection pass re-derive whether the switch has
         # source work; an extra visit self-corrects via after_injection.
         self._inject_active.add(switch.switch_id)
@@ -547,7 +634,7 @@ class KernelState:
     # Phase 5: switch allocation and traversal.
     # ------------------------------------------------------------------
 
-    def allocate(self, switch: Switch, cycle: int) -> None:
+    def allocate(self, switch: Switch, cycle: int) -> Optional[List[InputPort]]:
         """Arbitrate this switch's output ports and move the winning flits.
 
         One inlined pass over the compiled VC table: request collection
@@ -561,10 +648,17 @@ class KernelState:
         evaluated in VC-table order, and every float is accumulated in the
         same sequence — so results are bit-identical to the object-based
         engine, several times faster.
+
+        Returns the downstream input ports the visit was blocked on when it
+        qualifies for parking — it moved no flit, had no ejection request,
+        and every requesting output was non-busy on an ``always_grants``
+        fabric, so only a flit leaving one of those ports can unblock it —
+        and ``None`` otherwise (see :class:`ActiveSetScheduler`).  Every
+        pop from a VC here wakes the switches parked on that VC's port.
         """
         occupied = switch.occupied
         if not occupied:
-            return
+            return None
         req_outputs = None
         assign = self._assign_output
         vc_by_ordinal = switch.vc_by_ordinal
@@ -581,7 +675,7 @@ class KernelState:
                     req_outputs.append(output)
             scratch.append(vc)
         if req_outputs is None:
-            return
+            return None
         pool_pid = self._pid
         pool_length = self._length_flits
         pool_head_hop = self._head_hop
@@ -592,20 +686,30 @@ class KernelState:
         result = self.result
         rr_modulus = switch.rr_modulus
         switch_id = switch.switch_id
+        blocked = []
+        parkable = True
         try:
             for output in req_outputs:
                 vcs = output.request_scratch
                 if output.is_ejection:
+                    parkable = False
                     self._serve_ejection(switch, output, vcs, cycle)
                     continue
                 if output.busy_until > cycle:
+                    parkable = False
                     continue
                 fabric = output.fabric
                 check_grant = not fabric.always_grants
+                if check_grant:
+                    parkable = False
+                    mac = output.mac
+                    if mac is not None and mac.current_transmitter() != switch_id:
+                        continue  # another WI holds the channel: no grant
                 eligible = None
                 for vc in vcs:
                     downstream = vc.downstream_port
                     if downstream is None:
+                        parkable = False
                         continue
                     flit = vc.buf[vc.head]
                     handle = flit >> FLIT_INDEX_BITS
@@ -617,6 +721,7 @@ class KernelState:
                             break
                     if target is None:
                         if flit & FLIT_INDEX_MASK:
+                            parkable = False
                             continue  # body flit without an owned VC downstream
                         for tvc in downstream.vcs:
                             if (
@@ -627,8 +732,10 @@ class KernelState:
                                 target = tvc
                                 break
                         if target is None:
+                            blocked.append(downstream)
                             continue
                     if target.count + target.in_flight >= target.capacity:
+                        blocked.append(downstream)
                         continue
                     if check_grant and not fabric.grants(
                         switch_id,
@@ -644,6 +751,7 @@ class KernelState:
                         eligible.append(vc)
                 if eligible is None:
                     continue
+                parkable = False
                 # Round-robin winner (inline Switch.select_round_robin).
                 if len(eligible) == 1:
                     winner = eligible[0]
@@ -666,6 +774,9 @@ class KernelState:
                 winner.count -= 1
                 if not winner.count:
                     occupied.discard(winner.ordinal)
+                waiters = winner.port.waiters
+                if waiters:
+                    self.scheduler.wake_waiters(waiters, switch_id)
                 handle = flit >> FLIT_INDEX_BITS
                 index = flit & FLIT_INDEX_MASK
                 is_head = index == 0
@@ -712,6 +823,7 @@ class KernelState:
         finally:
             for output in req_outputs:
                 output.request_scratch.clear()
+        return blocked if parkable else None
 
     def _assign_output(self, switch: Switch, vc: VirtualChannel):
         """Route the head flit at the front of ``vc`` (first visit only)."""
@@ -761,6 +873,9 @@ class KernelState:
         vc.count -= 1
         if not vc.count:
             switch.occupied.discard(vc.ordinal)
+        waiters = vc.port.waiters
+        if waiters:
+            self.scheduler.wake_waiters(waiters, switch.switch_id)
         handle = flit >> FLIT_INDEX_BITS
         index = flit & FLIT_INDEX_MASK
         is_tail = index == pool.length_flits[handle] - 1
@@ -899,7 +1014,11 @@ class FaultPhase(Phase):
         self.injector = injector
 
     def run(self, cycle: int) -> None:
-        self.injector.advance(cycle, self.state)
+        state = self.state
+        if self.injector.advance(cycle, state):
+            # Recovery can purge buffers, reroute heads and flip a fabric's
+            # ``always_grants``, none of which fires a wake event.
+            state.scheduler.wake_all()
 
 
 class ArrivalPhase(Phase):
@@ -956,8 +1075,7 @@ class AllocationPhase(Phase):
         state = self.state
         scheduler = state.scheduler
         for switch in scheduler.allocation_candidates():
-            state.allocate(switch, cycle)
-            scheduler.after_allocation(switch)
+            scheduler.after_allocation(switch, state.allocate(switch, cycle))
 
 
 # ----------------------------------------------------------------------

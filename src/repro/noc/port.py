@@ -20,7 +20,7 @@ string/neighbour keys, which remain for construction and debugging only.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Set, TYPE_CHECKING
 
 from .link import LinkCharacteristics
 from .virtual_channel import VirtualChannel
@@ -37,7 +37,7 @@ WIRELESS_PORT = "wi"
 class InputPort:
     """An input port with its virtual-channel buffers."""
 
-    __slots__ = ("switch", "key", "port_id", "vcs")
+    __slots__ = ("switch", "key", "port_id", "vcs", "waiters")
 
     def __init__(
         self,
@@ -57,6 +57,11 @@ class InputPort:
             VirtualChannel(self, i, ordinal_base + i, buffer_depth)
             for i in range(num_vcs)
         ]
+        #: Ids of upstream switches parked on this port: their last
+        #: allocation visit found every request blocked on buffer space
+        #: here.  The kernel wakes (and clears) them on any flit pop from
+        #: one of this port's VCs — the only event that frees space.
+        self.waiters: Set[int] = set()
 
     def find_vc_for_packet(self, packet_id: int) -> Optional[VirtualChannel]:
         """The VC currently owned by ``packet_id``, if any."""
@@ -98,6 +103,7 @@ class OutputPort:
         "is_wireless",
         "width",
         "request_scratch",
+        "mac",
     )
 
     def __init__(
@@ -136,6 +142,11 @@ class OutputPort:
         #: keyed by port objects) keeps the inner loop free of hashing; the
         #: kernel clears it before leaving the switch.
         self.request_scratch: List[VirtualChannel] = []
+        #: The MAC arbitrating this port's wireless channel (set by the
+        #: wireless fabric; ``None`` for wired and ejection ports).  The
+        #: allocator skips the per-VC grant scan while another WI holds
+        #: the channel.
+        self.mac = None
 
     def is_available(self, cycle: int) -> bool:
         """Whether the channel is free to start a new flit this cycle."""

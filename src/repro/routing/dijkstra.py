@@ -40,6 +40,9 @@ class ShortestPathForest:
         self._distance: Dict[int, float] = {source: 0.0}
         self._predecessors: Dict[int, List[int]] = {source: []}
         self._run(weight)
+        # Sorted once here so every path_to tie-break indexes a ready list.
+        for options in self._predecessors.values():
+            options.sort()
 
     @property
     def source(self) -> int:
@@ -98,7 +101,7 @@ class ShortestPathForest:
         path = [destination]
         node = destination
         while node != self._source:
-            options = sorted(self._predecessors[node])
+            options = self._predecessors[node]
             if not options:
                 raise RoutingError(
                     f"broken predecessor chain at switch {node} from {self._source}"

@@ -143,6 +143,9 @@ class TopologyGraph:
         self._regions: Dict[int, RegionSpec] = {}
         self._links: Dict[int, LinkSpec] = {}
         self._adjacency: Dict[int, List[int]] = {}
+        #: Unordered switch pair ``(min, max)`` -> id of the link joining
+        #: them (at most one per pair; filled by :meth:`add_link`).
+        self._link_of_pair: Dict[Tuple[int, int], int] = {}
         self._switch_endpoints: Dict[int, List[int]] = {}
         self._disabled_links: set = set()
         self._next_switch_id = 0
@@ -229,7 +232,8 @@ class TopologyGraph:
             raise TopologyError(f"cannot link switch {src} to itself")
         if src not in self._switches or dst not in self._switches:
             raise TopologyError(f"unknown switch in link ({src}, {dst})")
-        if self.find_link(src, dst, include_disabled=True) is not None:
+        pair = (src, dst) if src < dst else (dst, src)
+        if pair in self._link_of_pair:
             raise TopologyError(f"duplicate link between {src} and {dst}")
         link = LinkSpec(
             link_id=self._next_link_id,
@@ -239,6 +243,7 @@ class TopologyGraph:
             length_mm=length_mm,
         )
         self._links[link.link_id] = link
+        self._link_of_pair[pair] = link.link_id
         self._adjacency[src].append(link.link_id)
         self._adjacency[dst].append(link.link_id)
         self._next_link_id += 1
@@ -322,13 +327,10 @@ class TopologyGraph:
         ``include_disabled`` also finds links taken out of service by fault
         injection (used for structural queries on the physical topology).
         """
-        for link_id in self._adjacency.get(a, ()):
-            if not include_disabled and link_id in self._disabled_links:
-                continue
-            link = self._links[link_id]
-            if link.other(a) == b:
-                return link
-        return None
+        link_id = self._link_of_pair.get((a, b) if a < b else (b, a))
+        if link_id is None or (not include_disabled and link_id in self._disabled_links):
+            return None
+        return self._links[link_id]
 
     @property
     def switches(self) -> List[SwitchSpec]:

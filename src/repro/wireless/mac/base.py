@@ -151,7 +151,14 @@ class MacProtocol(abc.ABC):
     def grants(
         self, wi_switch_id: int, packet_id: int, dst_switch: int, is_head: bool
     ) -> bool:
-        """Whether the WI may put this flit on the channel this cycle."""
+        """Whether the WI may put this flit on the channel this cycle.
+
+        Contract every protocol must keep: a grant implies
+        ``current_transmitter() == wi_switch_id``, and the call has no side
+        effects.  The kernel's allocator relies on both — it skips a WI's
+        per-VC grant scan outright while another WI (or nobody) holds the
+        channel, which must not change any simulation outcome.
+        """
 
     def notify_sent(
         self,

@@ -153,6 +153,41 @@ class TestGoldenResumeMatrix:
         assert _resume(task, grown) == baseline
 
 
+class TestParkedResume:
+    """Snapshots taken while switches are parked resume exactly (schema v3).
+
+    At saturation most occupied switches are parked on downstream input
+    ports: out of the scheduler's allocation set, registered in the ports'
+    ``waiters`` sets.  Both pieces of state ride in the pickled kernel
+    graph, so a resumed run must wake the same switches in the same
+    cycles as the uninterrupted one.
+    """
+
+    @staticmethod
+    def _parked(checkpoint):
+        kernel = pickle.loads(checkpoint.payload)
+        candidates = {s.switch_id for s in kernel.scheduler.allocation_candidates()}
+        switches = kernel.state.network.switches.values()
+        waiting = set().union(*(port.waiters for s in switches for port in s.input_port_list))
+        return {
+            s.switch_id
+            for s in switches
+            if s.occupied and s.switch_id not in candidates and s.switch_id in waiting
+        }
+
+    @pytest.mark.parametrize("architecture", (Architecture.SUBSTRATE, Architecture.WIRELESS))
+    def test_checkpoint_with_parked_switches_resumes_exactly(self, architecture):
+        assert CHECKPOINT_SCHEMA_VERSION == 3
+        task = _task(architecture, load=0.3)
+        baseline = _payload(task, task_simulator(task).run())
+        checkpoints, checkpointed = _checkpointed_run(task, every=100)
+        assert checkpointed == baseline
+        parked = [c for c in checkpoints if self._parked(c)]
+        assert parked, "no checkpoint caught a parked switch"
+        for checkpoint in parked:
+            assert _resume(task, checkpoint) == baseline
+
+
 class TestWheelRoundTrip:
     """The vector engine's calendar wheel (PR 10) pickles mid-flight.
 

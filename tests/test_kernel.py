@@ -1,31 +1,52 @@
 """Parity and scheduling tests for the phase-structured simulation kernel.
 
 The central guarantee of the kernel refactor: the active-set scheduler
-(which skips idle switches) reproduces the dense reference scheduler (the
-original engine's visit-everything loop) *bit for bit* — same counters,
-same per-packet latency samples, same energy breakdown, same MAC
-statistics — on every architecture and under both synthetic and
-application traffic.
+(which skips idle switches and parks credit-blocked ones) reproduces the
+dense reference scheduler (the original engine's visit-everything loop)
+*bit for bit* — same counters, same per-packet latency samples, same
+energy breakdown, same MAC statistics — on every architecture, under both
+synthetic and application traffic, for every registered MAC and under
+faults.
 """
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api
 from repro.core.architectures import build_system
 from repro.core.config import Architecture, SystemConfig
 from repro.core.framework import MultichipSimulation
+from repro.energy import EnergyAccountant
+from repro.faults.injector import FaultInjector
+from repro.noc.config import NetworkConfig
 from repro.noc.engine import SCHEDULERS, SimulationConfig, Simulator
 from repro.noc.kernel import (
     ActiveSetScheduler,
     DenseScheduler,
+    SimulationKernel,
     SimulationStallError,
     make_scheduler,
 )
+from repro.noc.network import Network
+from repro.noc.stats import SimulationResult
+from repro.routing import ShortestPathRouter
 from repro.testing import small_network_config, small_system_config
+from repro.topology.graph import (
+    EndpointKind,
+    LinkKind,
+    RegionKind,
+    SwitchKind,
+    TopologyGraph,
+)
 from repro.traffic.base import TrafficModel, TrafficRequest
 from repro.traffic.registry import create_pattern
 from repro.traffic.synfull import SynfullApplicationTraffic
+from repro.wireless.mac import available_macs
 
 #: The four comparison systems: a single-chip mesh baseline plus the
 #: paper's three multichip interconnect architectures.
@@ -152,6 +173,348 @@ class TestKernelParity:
         dense = run_with_scheduler(config, uniform_factory(), "dense")
         active = run_with_scheduler(config, uniform_factory(), "active")
         assert result_fingerprint(dense) == result_fingerprint(active)
+
+
+def scenario_task(system, load, cycles=500, **extra):
+    """The single task of a one-system scenario document (production path)."""
+    document = {
+        "name": "parity",
+        "fidelity": {"level": "fast", "cycles": cycles, "warmup_cycles": cycles // 4, "seed": 3},
+        "systems": [system],
+        "traffic": {
+            "kind": "synthetic",
+            "pattern": "uniform",
+            "memory_fractions": [0.2],
+            "loads": [load],
+        },
+        **extra,
+    }
+    (task,) = api.compile_scenario(document)
+    return task
+
+
+def run_task_with_scheduler(task, scheduler):
+    simulator = api.build_simulator(task)
+    simulator.simulation_config = replace(simulator.simulation_config, scheduler=scheduler)
+    return simulator.run()
+
+
+@pytest.fixture
+def park_counter(monkeypatch):
+    """Counts active-set visits that parked their switch."""
+    parks = []
+    original = ActiveSetScheduler.after_allocation
+
+    def counted(self, switch, blocked):
+        if blocked is not None:
+            parks.append(switch.switch_id)
+        original(self, switch, blocked)
+
+    monkeypatch.setattr(ActiveSetScheduler, "after_allocation", counted)
+    return parks
+
+
+class TestEventDrivenParity:
+    """Parking, waking and the MAC-turn gate stay bit-identical to dense.
+
+    Saturating load keeps most switches credit-blocked, so the active-set
+    scheduler parks them constantly; every run asserts that parking really
+    happened, so no case can pass vacuously.
+    """
+
+    @pytest.mark.parametrize("channels", (1, 2))
+    @pytest.mark.parametrize("mac", available_macs())
+    @pytest.mark.parametrize("preset", ("4C4M", "8C4M"))
+    def test_every_mac_and_channel_count_at_saturation(
+        self, preset, mac, channels, park_counter
+    ):
+        task = scenario_task(
+            {"preset": preset, "architecture": "wireless"},
+            load=0.01,
+            macs=[mac],
+            channels=[channels],
+        )
+        assert task.mac == mac
+        assert task.config.network.wireless.num_channels == channels
+        dense = run_task_with_scheduler(task, "dense")
+        assert not park_counter  # the dense oracle never parks
+        active = run_task_with_scheduler(task, "active")
+        assert park_counter
+        assert active.wireless_flit_hops > 0
+        assert result_fingerprint(dense) == result_fingerprint(active)
+
+    def test_cascading_faults_at_saturation(self, park_counter):
+        task = scenario_task(
+            {"preset": "4C4M", "architecture": "wireless", "cores_per_wi": 8},
+            load=0.01,
+            cycles=800,
+            faults={"scenario": "cascading", "rates": [0.1]},
+        )
+        assert task.faults == "cascading"
+        dense = run_task_with_scheduler(task, "dense")
+        active = run_task_with_scheduler(task, "active")
+        assert active.fault_events_applied > 0
+        assert park_counter
+        assert result_fingerprint(dense) == result_fingerprint(active)
+        assert active.packets_rerouted == dense.packets_rerouted
+        assert active.packets_dropped_unroutable == dense.packets_dropped_unroutable
+
+    def test_fault_cycles_wake_every_parked_switch(self, monkeypatch):
+        """Recovery fires no wake event, so a fault cycle visits every occupied switch.
+
+        A purge can free a VC that a parked switch waits on without any
+        flit leaving it; the kernel therefore returns every parked switch
+        to the allocation pass of each cycle with due fault events.
+        """
+        due_states = []
+        advance = FaultInjector.advance
+
+        def recording_advance(injector, cycle, state):
+            due = advance(injector, cycle, state)
+            if due:
+                due_states.append(state)
+            return due
+
+        parked = set()
+        after_allocation = ActiveSetScheduler.after_allocation
+
+        def recording_after_allocation(scheduler, switch, blocked):
+            if blocked is not None:
+                parked.add(switch.switch_id)
+            else:
+                parked.discard(switch.switch_id)
+            after_allocation(scheduler, switch, blocked)
+
+        woken = []
+        candidates = ActiveSetScheduler.allocation_candidates
+
+        def checked_candidates(scheduler):
+            state = due_states.pop() if due_states else None
+            occupied = set()
+            if state is not None:
+                occupied = {
+                    sid for sid, switch in state.network.switches.items() if switch.occupied
+                }
+                woken.extend(occupied & parked)
+            visited = set()
+            for switch in candidates(scheduler):
+                visited.add(switch.switch_id)
+                yield switch
+            assert occupied <= visited
+
+        monkeypatch.setattr(FaultInjector, "advance", recording_advance)
+        monkeypatch.setattr(ActiveSetScheduler, "after_allocation", recording_after_allocation)
+        monkeypatch.setattr(ActiveSetScheduler, "allocation_candidates", checked_candidates)
+        task = scenario_task(
+            {"preset": "4C4M", "architecture": "wireless", "cores_per_wi": 8},
+            load=0.01,
+            cycles=800,
+            faults={"scenario": "cascading", "rates": [0.1]},
+        )
+        result = run_task_with_scheduler(task, "active")
+        assert result.fault_events_applied > 0
+        assert woken, "no fault cycle found a parked switch"
+
+
+class _RecordingScheduler:
+    """Scheduler mixin logging moving visits and park/wake/buffer events."""
+
+    def attach(self, state):
+        self._state = state
+        self.moves = []
+        self.events = []
+
+    def _progress(self):
+        result = self._state.result
+        return result.flit_hops + result.flits_ejected_total
+
+    def allocation_candidates(self):
+        for switch in super().allocation_candidates():
+            self._before = self._progress()
+            yield switch
+
+    def after_allocation(self, switch, blocked):
+        cycle = self._state.cycle
+        if self._progress() != self._before:
+            self.moves.append((cycle, switch.switch_id))
+        if blocked is not None:
+            self.events.append(("park", cycle, switch.switch_id))
+        super().after_allocation(switch, blocked)
+
+    def on_flit_buffered(self, switch):
+        self.events.append(("buffered", self._state.cycle, switch.switch_id))
+        super().on_flit_buffered(switch)
+
+    def wake_waiters(self, waiters, visiting):
+        cycle = self._state.cycle
+        self.events.extend(("wake", cycle, sid) for sid in waiters)
+        super().wake_waiters(waiters, visiting)
+
+
+class _RecordingDense(_RecordingScheduler, DenseScheduler):
+    pass
+
+
+class _RecordingActive(_RecordingScheduler, ActiveSetScheduler):
+    pass
+
+
+class TestSameCycleWake:
+    """A pop at switch 0 wakes parked switch 1 into the *current* pass.
+
+    Two switches joined by one link; the core at switch 1 streams packets
+    to the core at switch 0 through one 2-flit VC per port, so switch 1
+    spends most cycles credit-blocked on switch 0's input buffer.  Dense
+    visits switch 0 first in every cycle, so the space its ejection frees
+    is used by switch 1 in the same cycle.  The active-set scheduler must
+    reproduce that: a parked switch with a higher id than the popping one
+    joins the pass in progress.
+    """
+
+    @staticmethod
+    def _graph():
+        graph = TopologyGraph()
+        region = graph.add_region(
+            kind=RegionKind.PROCESSOR_CHIP,
+            name="chip0",
+            mesh_cols=2,
+            mesh_rows=1,
+            origin_mm=(0.0, 0.0),
+            edge_mm=2.0,
+        )
+        ids = []
+        for x in range(2):
+            switch = graph.add_switch(
+                kind=SwitchKind.CORE,
+                region_id=region.region_id,
+                grid_x=x,
+                grid_y=0,
+                position_mm=(float(x), 0.0),
+            )
+            graph.add_endpoint(EndpointKind.CORE, switch.switch_id)
+            ids.append(switch.switch_id)
+        graph.add_link(ids[0], ids[1], LinkKind.MESH, 1.0)
+        return graph
+
+    @staticmethod
+    def _run(scheduler, cycles=300):
+        class Stream(TrafficModel):
+            def generate(self, cycle):
+                yield TrafficRequest(self._cores[1], self._cores[0])
+
+        graph = TestSameCycleWake._graph()
+        net_config = NetworkConfig(
+            virtual_channels=1, buffer_depth_flits=2, packet_length_flits=4
+        )
+        network = Network(graph, net_config)
+        accountant = EnergyAccountant(technology=net_config.technology)
+        result = SimulationResult(cycles=cycles, warmup_cycles=0, num_cores=2)
+        kernel = SimulationKernel(
+            network=network,
+            router=ShortestPathRouter(graph),
+            traffic=Stream(graph),
+            accountant=accountant,
+            result=result,
+            config=SimulationConfig(cycles=cycles, warmup_cycles=0),
+            net_config=net_config,
+            scheduler=scheduler,
+        )
+        scheduler.attach(kernel.state)
+        kernel.run()
+        return result
+
+    def test_parked_upstream_switch_is_served_in_the_waking_cycle(self):
+        dense_scheduler = _RecordingDense()
+        active_scheduler = _RecordingActive()
+        dense = self._run(dense_scheduler)
+        active = self._run(active_scheduler)
+        assert dense.packets_delivered > 10
+        assert result_fingerprint(dense) == result_fingerprint(active)
+        # Every flit-moving visit happens at the same switch in the same
+        # cycle under both schedulers...
+        assert active_scheduler.moves == dense_scheduler.moves
+        # ...including visits of switch 1 that only a same-cycle wake can
+        # explain: parked in cycle c - 1, nothing buffered into it in
+        # cycle c, woken by switch 0's pop in cycle c and moving a flit.
+        events = set(active_scheduler.events)
+        same_cycle = [
+            cycle
+            for cycle, sid in active_scheduler.moves
+            if sid == 1
+            and ("park", cycle - 1, 1) in events
+            and ("wake", cycle, 1) in events
+            and ("buffered", cycle, 1) not in events
+        ]
+        assert same_cycle, "no same-cycle wake was exercised"
+        # The dense oracle ignores parkable visits, so no port ever holds
+        # a waiter and nothing is ever woken under it.
+        assert ("park", 2, 1) in dense_scheduler.events
+        assert not [event for event in dense_scheduler.events if event[0] == "wake"]
+
+
+class TestMacGrantContract:
+    """``MacProtocol.grants`` implies the WI holds the channel, side-effect free.
+
+    The allocator skips a WI's grant scan whenever ``current_transmitter()``
+    names another WI, which is exact only under this contract.  The probe
+    asks every member WI about every pending packet (and a dummy one)
+    after each MAC update — far more often than the allocator does — and
+    the probed run must still equal the unprobed one.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        mac=st.sampled_from(available_macs()),
+        channels=st.sampled_from([1, 2]),
+        rate=st.sampled_from([0.02, 0.1, 0.3]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_property_grant_implies_current_transmitter(self, mac, channels, rate, seed):
+        def simulator():
+            config = small_system_config(Architecture.WIRELESS, mac=mac).with_wireless(
+                num_channels=channels
+            )
+            system = build_system(config)
+            return Simulator(
+                topology=system.topology,
+                router=system.router,
+                traffic=uniform_factory(rate=rate, seed=seed)(system),
+                network_config=config.network,
+                simulation_config=SimulationConfig(cycles=300, warmup_cycles=75),
+            )
+
+        granted = []
+
+        def probe_macs(network):
+            fabric = network.wireless_fabric
+            for protocol in fabric.macs:
+                protocol.update = _probed_update(fabric, protocol, granted)
+
+        probed = simulator()
+        probed.instrument = probe_macs
+        assert result_fingerprint(probed.run()) == result_fingerprint(simulator().run())
+        if rate >= 0.1:
+            assert granted, "expected some granted transmissions at this load"
+
+
+def _probed_update(fabric, protocol, granted):
+    original = protocol.update
+
+    def update(cycle):
+        original(cycle)
+        for wi in protocol.wi_switch_ids:
+            count = fabric.scan_pending(wi)
+            rows = [
+                (fabric.pend_pid[row], fabric.pend_dst[row], bool(fabric.pend_head[row]))
+                for row in range(count)
+            ]
+            rows += [(-1, wi, True), (-1, wi, False)]
+            for pid, dst, is_head in rows:
+                if protocol.grants(wi, pid, dst, is_head):
+                    assert protocol.current_transmitter() == wi, (cycle, wi, pid)
+                    granted.append(cycle)
+
+    return update
 
 
 class TestSchedulerSelection:
