@@ -32,6 +32,7 @@ the sweep service (:mod:`repro.service`).  It historically lived at
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -411,6 +412,11 @@ def execute_task(
     if profile:
         # Extra key; LoadPointSummary.from_dict ignores unknown fields.
         payload["phase_seconds"] = dict(result.phase_seconds)
+    # The finished network is cyclic garbage (switches, ports and VCs point
+    # at one another).  Collect it here, so a sweep holds one task's network
+    # at a time instead of however many the collector has not reached yet.
+    del simulator, result
+    gc.collect()
     return payload
 
 

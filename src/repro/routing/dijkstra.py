@@ -97,19 +97,26 @@ class ShortestPathForest:
             raise RoutingError(
                 f"switch {destination} unreachable from {self._source}"
             )
-        seed = selector if selector is not None else destination
+        source = self._source
+        predecessors = self._predecessors
+        longest = self._graph.num_switches + 1
+        # The tie-break is _stable_hash(source, seed, node): its first two
+        # rounds are fixed for the path, the last one is inlined per hop.
+        prefix = _stable_hash(source, selector if selector is not None else destination)
         path = [destination]
         node = destination
-        while node != self._source:
-            options = self._predecessors[node]
-            if not options:
-                raise RoutingError(
-                    f"broken predecessor chain at switch {node} from {self._source}"
-                )
-            choice = options[_stable_hash(self._source, seed, node) % len(options)]
+        while node != source:
+            options = predecessors[node]
+            if len(options) == 1:
+                choice = options[0]
+            elif options:
+                digest = ((prefix ^ ((node + 0x9E3779B9) & 0xFFFFFFFF)) * 16777619) & 0xFFFFFFFF
+                choice = options[digest % len(options)]
+            else:
+                raise RoutingError(f"broken predecessor chain at switch {node} from {source}")
             path.append(choice)
             node = choice
-            if len(path) > self._graph.num_switches + 1:
+            if len(path) > longest:
                 raise RoutingError("predecessor chain contains a cycle")
         path.reverse()
         return path

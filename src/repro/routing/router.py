@@ -32,6 +32,13 @@ class ShortestPathRouter(BaseRouter):
         self._canonicalize_xy = canonicalize_xy
         self._forests: Dict[int, ShortestPathForest] = {}
         self._grid_index = RegionGridIndex(graph)
+        #: Ids of the mesh links inside one region: the hops XY
+        #: canonicalisation may rewrite (whether in service or not).
+        self._intra_region_mesh = {
+            link.link_id
+            for link in graph.links_of_kind(LinkKind.MESH)
+            if graph.switch(link.src).region_id == graph.switch(link.dst).region_id
+        }
 
     @property
     def canonicalize_xy(self) -> bool:
@@ -65,28 +72,23 @@ class ShortestPathRouter(BaseRouter):
 
     def _canonicalize(self, path: List[int]) -> List[int]:
         """Rewrite maximal same-region mesh runs into X-then-Y order."""
-        graph = self._graph
+        live = self._graph.live_links
+        intra_region_mesh = self._intra_region_mesh
         result: List[int] = [path[0]]
         run_start = 0
-        index = 1
-        while index < len(path):
+        for index in range(1, len(path)):
             prev = path[index - 1]
             here = path[index]
-            link = graph.find_link(prev, here)
+            link = live[prev].get(here)
             if link is None:
                 raise RoutingError(f"route uses missing link ({prev}, {here})")
-            same_region = (
-                graph.switch(prev).region_id == graph.switch(here).region_id
-            )
-            if link.kind == LinkKind.MESH and same_region:
-                index += 1
+            if link.link_id in intra_region_mesh:
                 continue
             # The mesh run path[run_start .. index-1] ends here; canonicalise
             # it, then emit the non-mesh hop verbatim.
             self._extend_with_run(result, path, run_start, index - 1)
             result.append(here)
             run_start = index
-            index += 1
         self._extend_with_run(result, path, run_start, len(path) - 1)
         return result
 
@@ -107,10 +109,8 @@ class ShortestPathRouter(BaseRouter):
             canonical = xy_path(self._graph, self._grid_index, path[start], path[end])
         except RoutingError:
             canonical = None
-        if canonical is not None and all(
-            self._graph.find_link(a, b) is not None
-            for a, b in zip(canonical, canonical[1:])
-        ):
+        live = self._graph.live_links
+        if canonical is not None and all(b in live[a] for a, b in zip(canonical, canonical[1:])):
             result.extend(canonical[1:])
         else:
             result.extend(path[start + 1 : end + 1])

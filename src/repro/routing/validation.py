@@ -22,14 +22,16 @@ def validate_route(graph: TopologyGraph, route: Sequence[int]) -> None:
     """
     if not route:
         raise RoutingError("route is empty")
+    live = graph.live_links
     seen = set()
     for switch_id in route:
-        graph.switch(switch_id)  # raises TopologyError for unknown switches
+        if switch_id not in live:
+            graph.switch(switch_id)  # raises TopologyError for unknown switches
         if switch_id in seen:
             raise RoutingError(f"route visits switch {switch_id} twice: {list(route)}")
         seen.add(switch_id)
     for a, b in zip(route, route[1:]):
-        if graph.find_link(a, b) is None:
+        if b not in live[a]:
             raise RoutingError(f"route uses missing link ({a}, {b})")
 
 
@@ -58,25 +60,39 @@ def link_kinds_on_route(graph: TopologyGraph, route: Sequence[int]) -> List[Link
 Channel = Tuple[int, int]
 
 
+#: Channel -> the channels some route enters straight after it.
+DependencyMap = Dict[Channel, Set[Channel]]
+
+
+def add_channel_dependencies(dependencies: DependencyMap, route: Sequence[int]) -> None:
+    """Add one route's consecutive-hop channel pairs to a dependency map."""
+    for i in range(len(route) - 2):
+        upstream: Channel = (route[i], route[i + 1])
+        downstream: Channel = (route[i + 1], route[i + 2])
+        dependencies.setdefault(upstream, set()).add(downstream)
+        dependencies.setdefault(downstream, set())
+
+
 def find_channel_dependency_cycle(
-    routes: Iterable[Sequence[int]],
+    routes: Iterable[Sequence[int]] = (),
+    dependencies: Optional[DependencyMap] = None,
 ) -> Optional[List[Channel]]:
     """A cyclic channel dependency among the given routes, or ``None``.
 
     Wormhole routing deadlocks exactly when the *channel dependency graph* —
     one node per directed link, one edge per consecutive hop pair some route
     uses — contains a cycle (Dally & Seitz).  This builds that graph from
-    the route set and searches it with an iterative DFS; the returned value
-    is the offending channel sequence (closed: first == last), so recovery
-    code and tests can report precisely which dependency loop would deadlock.
+    the route set (on top of ``dependencies``, a map grown with
+    :func:`add_channel_dependencies`, when one is given — the map is
+    extended in place) and searches it with an iterative DFS; the returned
+    value is the offending channel sequence (closed: first == last), so
+    recovery code and tests can report precisely which dependency loop
+    would deadlock.
     """
-    dependencies: Dict[Channel, Set[Channel]] = {}
+    if dependencies is None:
+        dependencies = {}
     for route in routes:
-        for i in range(len(route) - 2):
-            upstream: Channel = (route[i], route[i + 1])
-            downstream: Channel = (route[i + 1], route[i + 2])
-            dependencies.setdefault(upstream, set()).add(downstream)
-            dependencies.setdefault(downstream, set())
+        add_channel_dependencies(dependencies, route)
     # Iterative DFS with colouring: 0 unvisited, 1 on stack, 2 done.
     colour: Dict[Channel, int] = {channel: 0 for channel in dependencies}
     for start in sorted(dependencies):

@@ -146,6 +146,9 @@ class TopologyGraph:
         #: Unordered switch pair ``(min, max)`` -> id of the link joining
         #: them (at most one per pair; filled by :meth:`add_link`).
         self._link_of_pair: Dict[Tuple[int, int], int] = {}
+        #: Switch id -> {neighbour id: link} over the *in-service* links,
+        #: kept current by :meth:`disable_link` / :meth:`enable_link`.
+        self._live: Dict[int, Dict[int, LinkSpec]] = {}
         self._switch_endpoints: Dict[int, List[int]] = {}
         self._disabled_links: set = set()
         self._next_switch_id = 0
@@ -202,6 +205,7 @@ class TopologyGraph:
         )
         self._switches[switch.switch_id] = switch
         self._adjacency[switch.switch_id] = []
+        self._live[switch.switch_id] = {}
         self._switch_endpoints[switch.switch_id] = []
         self._next_switch_id += 1
         return switch
@@ -246,8 +250,13 @@ class TopologyGraph:
         self._link_of_pair[pair] = link.link_id
         self._adjacency[src].append(link.link_id)
         self._adjacency[dst].append(link.link_id)
+        self._put_live(link)
         self._next_link_id += 1
         return link
+
+    def _put_live(self, link: LinkSpec) -> None:
+        self._live[link.src][link.dst] = link
+        self._live[link.dst][link.src] = link
 
     def set_wireless(self, switch_id: int, has_wireless: bool = True) -> None:
         """Mark a switch as carrying a wireless interface."""
@@ -266,17 +275,21 @@ class TopologyGraph:
         the simulator ports built from it) is untouched.  Use
         :meth:`enable_link` / :meth:`enable_all_links` to restore service.
         """
-        self.link(link_id)  # raises TopologyError for unknown links
+        link = self.link(link_id)  # raises TopologyError for unknown links
         self._disabled_links.add(link_id)
+        self._live[link.src].pop(link.dst, None)
+        self._live[link.dst].pop(link.src, None)
 
     def enable_link(self, link_id: int) -> None:
         """Return a disabled link to service."""
-        self.link(link_id)
+        link = self.link(link_id)
         self._disabled_links.discard(link_id)
+        self._put_live(link)
 
     def enable_all_links(self) -> None:
         """Return every disabled link to service (end-of-run restore)."""
-        self._disabled_links.clear()
+        for link_id in list(self._disabled_links):
+            self.enable_link(link_id)
 
     def link_enabled(self, link_id: int) -> bool:
         """Whether a link is currently in service."""
@@ -286,6 +299,17 @@ class TopologyGraph:
     def disabled_links(self) -> List[int]:
         """Ids of all currently disabled links, sorted."""
         return sorted(self._disabled_links)
+
+    @property
+    def live_links(self) -> Dict[int, Dict[int, LinkSpec]]:
+        """Switch id -> {neighbour id: in-service link}, one entry per switch.
+
+        The lookup behind :meth:`find_link`, exposed for per-hop loops
+        (route computation and validation) that cannot afford a method call
+        per hop.  It is the graph's own map, updated in place as links are
+        disabled and enabled: read it, never mutate it.
+        """
+        return self._live
 
     # ------------------------------------------------------------------
     # Queries.
@@ -327,10 +351,11 @@ class TopologyGraph:
         ``include_disabled`` also finds links taken out of service by fault
         injection (used for structural queries on the physical topology).
         """
+        if not include_disabled:
+            neighbours = self._live.get(a)
+            return None if neighbours is None else neighbours.get(b)
         link_id = self._link_of_pair.get((a, b) if a < b else (b, a))
-        if link_id is None or (not include_disabled and link_id in self._disabled_links):
-            return None
-        return self._links[link_id]
+        return None if link_id is None else self._links[link_id]
 
     @property
     def switches(self) -> List[SwitchSpec]:
@@ -478,6 +503,20 @@ class TopologyGraph:
         for link in self.links:
             graph.add_edge(link.src, link.dst, spec=link)
         return graph
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The in-service map is derived state: leaving it out keeps pickled
+        # graphs (kernel checkpoints) the shape they always had.
+        state = dict(self.__dict__)
+        del state["_live"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._live = {switch_id: {} for switch_id in self._switches}
+        for link_id, link in self._links.items():
+            if link_id not in self._disabled_links:
+                self._put_live(link)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -18,6 +18,7 @@ Covers the contracts the fault subsystem promises:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import pytest
@@ -40,15 +41,18 @@ from repro.faults import (
     connected_components,
     create_fault_plan,
 )
-from repro.faults.recovery import recover_routing
+from repro.core.architectures import build_system
+from repro.experiments.fig7_resilience import fig7_systems
+from repro.faults.recovery import rebuild_routes, recover_routing
 from repro.faults.plan import FaultPlanError
 from repro.noc.engine import SimulationConfig, Simulator
 from repro.noc.fabric import WiredFabric
 from repro.noc.flit import FlitType
-from repro.routing import ShortestPathRouter
+from repro.routing import RoutingError, ShortestPathRouter
 from repro.routing.validation import (
     find_channel_dependency_cycle,
     routes_are_deadlock_free,
+    validate_route,
 )
 from repro.testing import small_system_config
 from repro.topology.graph import (
@@ -476,6 +480,97 @@ def test_any_single_link_failure_recovers_or_reports(cols, rows, link_choice):
             for dst in (s.switch_id for s in graph.switches):
                 if src != dst:
                     assert provider.route(src, dst)
+
+
+def reference_audit(topology, router):
+    """The audit without early exit: every intra-component route, validated,
+    then one channel-dependency test over all of them.  Returns the
+    components, the verdict and every (channel, next channel) pair the
+    routes use."""
+    router.clear_cache()
+    components = connected_components(topology)
+    routes, invalid = [], False
+    for component in components:
+        for src in component:
+            for dst in component:
+                if src == dst:
+                    continue
+                try:
+                    route = router.route(src, dst)
+                    validate_route(topology, route)
+                except RoutingError:
+                    invalid = True
+                    continue
+                routes.append(route)
+    pairs = {
+        ((r[i], r[i + 1]), (r[i + 1], r[i + 2])) for r in routes for i in range(len(r) - 2)
+    }
+    deadlock_free = find_channel_dependency_cycle(routes) is None and not invalid
+    return components, deadlock_free, pairs
+
+
+def assert_audit_matches_reference(topology, router):
+    components, deadlock_free, pairs = reference_audit(topology, router)
+    report = rebuild_routes(topology, router, verify_deadlock_freedom=True)
+    assert report.verified
+    assert report.components == components
+    assert report.partitioned == (len(components) > 1)
+    assert report.deadlock_free is deadlock_free
+    cycle = report.dependency_cycle
+    if cycle is not None:
+        assert not deadlock_free
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        for upstream, downstream in zip(cycle, cycle[1:]):
+            assert (upstream, downstream) in pairs
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cols=st.integers(min_value=2, max_value=5),
+    rows=st.integers(min_value=2, max_value=4),
+    link_choices=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=5),
+)
+def test_early_exit_audit_matches_full_audit_on_meshes(cols, rows, link_choices):
+    """Property: failure-first early exit gives the full audit's verdict,
+    partition report and components for any multi-link failure set."""
+    graph = mesh_graph(cols, rows, cores=False)
+    links = graph.links
+    for choice in link_choices:
+        graph.disable_link(links[choice % len(links)].link_id)
+    assert_audit_matches_reference(graph, ShortestPathRouter(graph))
+
+
+@functools.lru_cache(maxsize=None)
+def fig7_system(label):
+    return build_system(fig7_systems()[label])
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    label=st.sampled_from(["interposer", "wireless"]),
+    link_choices=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=4),
+    transceiver_choices=st.lists(st.integers(min_value=0, max_value=10_000), max_size=2),
+)
+def test_early_exit_audit_matches_full_audit_on_4c4m(label, link_choices, transceiver_choices):
+    """The same property on the 4C4M interposer and wireless systems, with
+    wired link failures plus (wireless) transceiver losses."""
+    system = fig7_system(label)
+    graph, router = system.topology, system.router
+    wired = [link for link in graph.links if link.kind != LinkKind.WIRELESS]
+    wis = [s.switch_id for s in graph.wireless_switches]
+    try:
+        for choice in link_choices:
+            graph.disable_link(wired[choice % len(wired)].link_id)
+        for choice in transceiver_choices if wis else ():
+            lost = wis[choice % len(wis)]
+            for _, link in graph.neighbors(lost):
+                if link.kind == LinkKind.WIRELESS:
+                    graph.disable_link(link.link_id)
+        assert_audit_matches_reference(graph, router)
+    finally:
+        graph.enable_all_links()
+        router.clear_cache()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests of geometry planning, graph construction and the multichip builders."""
 
+import pickle
+
 import pytest
 
 from repro.topology import (
@@ -107,6 +109,20 @@ class TestTopologyGraph:
         graph.add_switch(SwitchKind.CORE, region.region_id, 5, 5, (9.0, 9.0))
         with pytest.raises(TopologyError):
             graph.validate()
+
+    def test_in_service_links_follow_disable_enable_and_pickling(self):
+        graph, a, b = self._tiny_graph()
+        link = graph.find_link(a.switch_id, b.switch_id)
+        graph.disable_link(link.link_id)
+        assert graph.find_link(a.switch_id, b.switch_id) is None
+        assert graph.find_link(b.switch_id, a.switch_id, include_disabled=True) is link
+        assert graph.live_links == {a.switch_id: {}, b.switch_id: {}}
+        restored = pickle.loads(pickle.dumps(graph))
+        assert restored.live_links == {a.switch_id: {}, b.switch_id: {}}
+        restored.enable_all_links()
+        assert restored.find_link(b.switch_id, a.switch_id).link_id == link.link_id
+        graph.enable_link(link.link_id)
+        assert graph.live_links == {a.switch_id: {b.switch_id: link}, b.switch_id: {a.switch_id: link}}
 
     def test_to_networkx_roundtrip(self):
         graph, _, _ = self._tiny_graph()
